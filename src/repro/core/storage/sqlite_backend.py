@@ -37,6 +37,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -105,11 +106,13 @@ class SqliteBackend:
         conn = sqlite3.connect(
             self.db_path, timeout=BUSY_TIMEOUT_MS / 1000.0
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        conn.execute(_CREATE)
-        conn.commit()
+        try:
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            _prepare(conn)
+        except BaseException:
+            conn.close()
+            raise
         self._local.conn = conn
         self._local.pid = os.getpid()
         return conn
@@ -220,3 +223,31 @@ class SqliteBackend:
                 conn.close()
             except Exception:  # noqa: BLE001
                 pass
+
+
+def _prepare(conn: sqlite3.Connection) -> None:
+    """Put a fresh connection's database in WAL mode and create the table.
+
+    The mode switch is skipped when the file already reads ``wal``.  It
+    needs an exclusive lock, and when other connections are opening the
+    same file SQLite may refuse it with ``SQLITE_BUSY`` at once, without
+    waiting on the busy handler; so a busy or locked database is retried
+    here for up to :data:`BUSY_TIMEOUT_MS`.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+    delay = 0.001
+    while True:
+        try:
+            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+            if str(mode).lower() != "wal":
+                conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(_CREATE)
+            conn.commit()
+            return
+        except sqlite3.OperationalError as error:
+            message = str(error).lower()
+            busy = "locked" in message or "busy" in message
+            if not busy or time.monotonic() + delay > deadline:
+                raise
+        time.sleep(delay)
+        delay = min(delay * 2, 0.05)

@@ -51,6 +51,17 @@ _PRIMITIVE_OR_VOID = PRIMITIVE_TYPES | {"void"}
 
 _UNARY_PREFIX = frozenset({"+", "-", "!", "~"})
 
+#: Nesting budget.  Every AST consumer (printer, EPDG builder, analyses,
+#: interpreter) walks the tree recursively, so its height must stay well
+#: below Python's recursion limit.  One unit is charged per nested
+#: statement, nested expression (parentheses, arguments, indexes), prefix
+#: operand, assignment or ternary tail and nested array initializer while
+#: it is open, and per binary operator or postfix selector (``.``, ``[]``,
+#: ``++``) until its statement ends, because those chains nest leftwards
+#: without recursing.  The tree's height thus stays under twice the
+#: budget and the parser recurses at most about eight frames per unit.
+MAX_NESTING = 64
+
 
 class Parser:
     """Parses a token stream produced by :mod:`repro.java.lexer`."""
@@ -58,6 +69,7 @@ class Parser:
     def __init__(self, source: str):
         self._tokens = tokenize(source)
         self._pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # token helpers
@@ -112,6 +124,12 @@ class Parser:
         token = self._peek()
         return JavaSyntaxError(message, token.line, token.column)
 
+    def _nest(self) -> None:
+        """Charge one unit of :data:`MAX_NESTING`."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise self._error("expression nested too deeply")
+
     # ------------------------------------------------------------------
     # top level
 
@@ -133,6 +151,7 @@ class Parser:
                 unit.classes.append(self._parse_class(modifiers))
             else:
                 unit.bare_methods.append(self._parse_method(modifiers))
+            self._depth = 0
         return unit
 
     def parse_expression_only(self) -> ast.Expression:
@@ -175,6 +194,7 @@ class Parser:
                         modifiers=member_modifiers,
                     )
                 )
+                self._depth = 0
         self._expect("}")
         return cls
 
@@ -285,6 +305,8 @@ class Parser:
 
     def _parse_statement(self) -> ast.Statement:
         token = self._tokens[self._pos]
+        depth = self._depth
+        self._nest()
         if token.type in _STRUCTURAL:
             handler = _STATEMENT_DISPATCH.get(token.value)
             if handler is not None:
@@ -293,6 +315,7 @@ class Parser:
                 # dataclass equality and fields() stay untouched, so
                 # differential tests against position-less ASTs still pass
                 statement.position = (token.line, token.column)
+                self._depth = depth
                 return statement
         if self._at_type_start():
             statement = self._parse_local_var_decl()
@@ -301,6 +324,7 @@ class Parser:
             statement = ast.ExpressionStatement(self._parse_expression())
             self._expect(";")
         statement.position = (token.line, token.column)
+        self._depth = depth
         return statement
 
     def _parse_empty_statement(self) -> ast.EmptyStatement:
@@ -364,7 +388,7 @@ class Parser:
     def _parse_if(self) -> ast.If:
         self._expect("if")
         self._expect("(")
-        condition = self._parse_expression()
+        condition = self._parse_header_expression()
         self._expect(")")
         then_branch = self._parse_statement()
         else_branch = None
@@ -375,7 +399,7 @@ class Parser:
     def _parse_while(self) -> ast.While:
         self._expect("while")
         self._expect("(")
-        condition = self._parse_expression()
+        condition = self._parse_header_expression()
         self._expect(")")
         body = self._parse_statement()
         return ast.While(condition, body)
@@ -395,6 +419,9 @@ class Parser:
         self._expect("(")
         # enhanced for: `for (Type name : expr)`
         checkpoint = self._pos
+        # the header's chains are released before the body, which sits
+        # beside them in the tree (see _parse_header_expression)
+        depth = self._depth
         if self._at_type_start() or (
             self._peek().type is TokenType.KEYWORD
             and self._peek().value in PRIMITIVE_TYPES
@@ -405,11 +432,13 @@ class Parser:
                 if self._match(":"):
                     iterable = self._parse_expression()
                     self._expect(")")
+                    self._depth = depth
                     body = self._parse_statement()
                     return ast.ForEach(item_type, name, iterable, body)
             except JavaSyntaxError:
                 pass
             self._pos = checkpoint
+            self._depth = depth
         init: list[ast.Statement] = []
         if not self._check(";"):
             if self._at_type_start():
@@ -429,13 +458,14 @@ class Parser:
             while self._match(","):
                 update.append(self._parse_expression())
         self._expect(")")
+        self._depth = depth
         body = self._parse_statement()
         return ast.For(init, condition, update, body)
 
     def _parse_switch(self) -> ast.Switch:
         self._expect("switch")
         self._expect("(")
-        selector = self._parse_expression()
+        selector = self._parse_header_expression()
         self._expect(")")
         self._expect("{")
         cases: list[ast.SwitchCase] = []
@@ -443,7 +473,7 @@ class Parser:
             labels: list[ast.Expression | None] = []
             while self._check("case") or self._check("default"):
                 if self._match("case"):
-                    labels.append(self._parse_expression())
+                    labels.append(self._parse_header_expression())
                 else:
                     self._expect("default")
                     labels.append(None)
@@ -462,15 +492,31 @@ class Parser:
     # ------------------------------------------------------------------
     # expressions
 
+    def _parse_header_expression(self) -> ast.Expression:
+        """An expression that is a compound statement's own child.
+
+        Its chains are released once it is parsed: the statement's other
+        children sit beside it in the tree, not below it.
+        """
+        depth = self._depth
+        expression = self._parse_expression()
+        self._depth = depth
+        return expression
+
     def _parse_expression(self) -> ast.Expression:
-        return self._parse_assignment()
+        self._nest()
+        expression = self._parse_assignment()
+        self._depth -= 1
+        return expression
 
     def _parse_assignment(self) -> ast.Expression:
         left = self._parse_ternary()
         token = self._tokens[self._pos]
         if token.type is TokenType.OPERATOR and token.value in _ASSIGN_OPERATORS:
             self._pos += 1
+            self._nest()
             value = self._parse_assignment()
+            self._depth -= 1
             return ast.Assignment(target=left, operator=token.value, value=value)
         return left
 
@@ -481,7 +527,9 @@ class Parser:
             self._pos += 1
             if_true = self._parse_expression()
             self._expect(":")
+            self._nest()
             if_false = self._parse_assignment()
+            self._depth -= 1
             return ast.Ternary(condition, if_true, if_false)
         return condition
 
@@ -498,6 +546,7 @@ class Parser:
                 if precedence is None or precedence < min_precedence:
                     return left
                 self._pos += 1
+                self._nest()
                 right = self._parse_binary(precedence + 1)
                 left = ast.Binary(operator, left, right)
                 continue
@@ -505,6 +554,7 @@ class Parser:
                 if _BINARY_PRECEDENCE["instanceof"] < min_precedence:
                     return left
                 self._pos += 1
+                self._nest()
                 right_type = self._parse_type()
                 left = ast.Binary("instanceof", left, ast.Name(str(right_type)))
                 continue
@@ -516,7 +566,9 @@ class Parser:
             operator = token.value
             if operator in _UNARY_PREFIX:
                 self._pos += 1
+                self._nest()
                 operand = self._parse_unary()
+                self._depth -= 1
                 # Fold unary minus into negative literals so `-1` renders as
                 # a single literal, matching how instructors write patterns.
                 if (
@@ -528,7 +580,9 @@ class Parser:
                 return ast.Unary(operator, operand, prefix=True)
             if operator == "++" or operator == "--":
                 self._pos += 1
+                self._nest()
                 operand = self._parse_unary()
+                self._depth -= 1
                 return ast.Unary(operator, operand, prefix=True)
         elif (
             token.type is TokenType.SEPARATOR
@@ -538,7 +592,9 @@ class Parser:
             self._pos += 1
             cast_type = self._parse_type()
             self._expect(")")
+            self._nest()
             expression = self._parse_unary()
+            self._depth -= 1
             return ast.Cast(cast_type, expression)
         return self._parse_postfix()
 
@@ -567,6 +623,7 @@ class Parser:
             if token_type is TokenType.SEPARATOR:
                 if token.value == ".":
                     self._pos += 1
+                    self._nest()
                     name = self._expect_identifier()
                     if self._check("("):
                         arguments = self._parse_arguments()
@@ -576,6 +633,7 @@ class Parser:
                     continue
                 if token.value == "[":
                     self._pos += 1
+                    self._nest()
                     index = self._parse_expression()
                     self._expect("]")
                     expression = ast.ArrayAccess(expression, index)
@@ -583,6 +641,7 @@ class Parser:
                 return expression
             if token_type is TokenType.OPERATOR and token.value in ("++", "--"):
                 self._pos += 1
+                self._nest()
                 expression = ast.Unary(token.value, expression, prefix=False)
                 continue
             return expression
@@ -603,7 +662,9 @@ class Parser:
         if not self._check("}"):
             while True:
                 if self._check("{"):
+                    self._nest()
                     elements.append(self._parse_array_initializer())
+                    self._depth -= 1
                 else:
                     elements.append(self._parse_expression())
                 if not self._match(","):

@@ -43,8 +43,8 @@ from itertools import permutations
 from repro.instrumentation import check_deadline, count
 from repro.matching.cache import active_match_cache
 from repro.matching.embeddings import Embedding
-from repro.matching.plan import SearchPlan, compile_plan
-from repro.patterns.model import Pattern, PatternNode
+from repro.matching.plan import SearchPlan, SearchStep, compile_plan
+from repro.patterns.model import Pattern
 from repro.pdg.graph import Epdg, NodeType
 
 #: Safety valve on the number of embeddings per (pattern, graph) pair.
@@ -98,15 +98,15 @@ def _match_uncached(
         return EmbeddingList()
     plan = compile_plan(pattern)
     if order == "naive":
-        node_order = tuple(range(len(pattern.nodes)))
+        steps = plan.steps(tuple(range(len(pattern.nodes))))
     else:
         sizes = {u_id: len(candidates) for u_id, candidates in space.items()}
-        node_order = plan.static_order(sizes)
-        pruned = _prune_space(plan, graph, space, node_order)
+        steps = plan.steps(plan.static_order(sizes))
+        pruned = _prune_space(plan, graph, space, steps)
         count("match.candidates_pruned", pruned)
         if any(not candidates for candidates in space.values()):
             return EmbeddingList()
-    state = _SearchState(pattern, graph, plan, space, node_order)
+    state = _SearchState(pattern, graph, space, steps)
     state.search(0, {}, {}, {})
     count("match.nodes_visited", state.nodes_visited)
     result = EmbeddingList(state.embeddings)
@@ -137,7 +137,7 @@ def _prune_space(
     plan: SearchPlan,
     graph: Epdg,
     space: dict[int, list[int]],
-    node_order: tuple[int, ...],
+    steps: tuple[SearchStep, ...],
 ) -> int:
     """Drop Φ candidates that can never complete an embedding.
 
@@ -155,25 +155,30 @@ def _prune_space(
 
     Returns the number of candidates removed.
     """
-    floors = plan.arity_floors(node_order)
+    profiles = graph.degree_profiles
+    nodes = graph.nodes
     pruned = 0
-    for node_plan in plan.node_plans:
-        requirement = node_plan.degree_requirement
-        floor = floors[node_plan.node_id]
-        candidates = space[node_plan.node_id]
+    for step in steps:
+        out_ctrl, out_data, in_ctrl, in_data = (
+            plan.node_plans[step.node_id].degree_requirement
+        )
+        floor = len(step.new_variables)
+        if not (out_ctrl or out_data or in_ctrl or in_data or floor):
+            continue
+        candidates = space[step.node_id]
         kept = []
         for v_id in candidates:
-            profile = graph.degree_profile(v_id)
+            profile = profiles[v_id]
             if (
-                profile[0] >= requirement[0]
-                and profile[1] >= requirement[1]
-                and profile[2] >= requirement[2]
-                and profile[3] >= requirement[3]
-                and len(graph.node(v_id).variables) >= floor
+                profile[0] >= out_ctrl
+                and profile[1] >= out_data
+                and profile[2] >= in_ctrl
+                and profile[3] >= in_data
+                and len(nodes[v_id].variables) >= floor
             ):
                 kept.append(v_id)
         pruned += len(candidates) - len(kept)
-        space[node_plan.node_id] = kept
+        space[step.node_id] = kept
     return pruned
 
 
@@ -182,35 +187,25 @@ class _SearchState:
         self,
         pattern: Pattern,
         graph: Epdg,
-        plan: SearchPlan,
         space: dict[int, list[int]],
-        node_order: tuple[int, ...],
+        steps: tuple[SearchStep, ...],
     ):
-        self._pattern = pattern
-        self._graph = graph
-        self._plan = plan
+        self._pattern_nodes = pattern.nodes
+        self._graph_nodes = graph.nodes
         self._space = space
-        self._order = node_order
+        self._steps = steps
+        # each step's edge checks with the edge type resolved to the
+        # graph's ``(source, target)`` set of that type
+        self._checks = tuple(
+            tuple(
+                (graph.edge_pairs(edge_type), other, outgoing)
+                for edge_type, other, outgoing in step.checks
+            )
+            for step in steps
+        )
         self.embeddings: list[Embedding] = []
         self._seen: set[tuple] = set()
         self.nodes_visited = 0  # instrumentation for the ablation bench
-
-    # -- consistency checks ----------------------------------------------
-
-    def _edges_consistent(self, u_id: int, v_id: int, iota: dict[int, int]) -> bool:
-        has_edge = self._graph.has_edge
-        for edge_type, other, outgoing in self._plan.node_plans[u_id].adjacency:
-            mapped = iota.get(other)
-            if mapped is None:
-                continue
-            if outgoing:
-                if not has_edge(v_id, mapped, edge_type):
-                    return False
-            elif not has_edge(mapped, v_id, edge_type):
-                return False
-        return True
-
-    # -- main search ------------------------------------------------------
 
     def search(
         self,
@@ -227,7 +222,7 @@ class _SearchState:
             check_deadline()
         if len(self.embeddings) >= MAX_EMBEDDINGS:
             return
-        if depth == len(self._order):
+        if depth == len(self._steps):
             embedding = Embedding.build(iota, gamma, marks)
             # distinct (ι, γ) pairs are all kept: constraints may need a
             # specific variable mapping even when the node mapping repeats
@@ -236,60 +231,54 @@ class _SearchState:
                 self._seen.add(key)
                 self.embeddings.append(embedding)
             return
-        u_id = self._order[depth]
-        u = self._pattern.nodes[u_id]
+        step = self._steps[depth]
+        u_id = step.node_id
+        u = self._pattern_nodes[u_id]
+        expr, approx = u.expr, u.approx
+        checks = self._checks[depth]
+        # γ is extended in place: the node's new pattern variables are
+        # bound injectively to unbound submission variables (every
+        # arrangement of them, in sorted order) and each binding is
+        # tested against the exact expression r, then the approximate r̂
+        new_variables = step.new_variables
+        width = len(new_variables)
+        bound_submission = set(gamma.values())
         used_graph_nodes = set(iota.values())
+        graph_nodes = self._graph_nodes
+        tried = 0
         for v_id in self._space[u_id]:
             if v_id in used_graph_nodes:
                 continue
-            if not self._edges_consistent(u_id, v_id, iota):
-                continue
-            v = self._graph.node(v_id)
-            for extension, correct in self._variable_matches(u, v, gamma):
-                iota[u_id] = v_id
-                marks[u_id] = correct
-                gamma.update(extension)
-                self.search(depth + 1, iota, gamma, marks)
-                for name in extension:
-                    del gamma[name]
-                del iota[u_id]
-                del marks[u_id]
-
-    # -- variable combinations --------------------------------------------
-
-    def _variable_matches(self, u: PatternNode, v, gamma: dict[str, str]):
-        """Yield ``(new_bindings, correct)`` for every viable combination.
-
-        ``new_bindings`` extends γ injectively from the node's unbound
-        pattern variables into the graph node's unbound variables.
-        """
-        unbound_pattern = sorted(
-            self._plan.node_plans[u.node_id].variables - gamma.keys()
-        )
-        bound_submission = set(gamma.values())
-        unbound_submission = sorted(v.variables - bound_submission)
-        if len(unbound_pattern) > len(unbound_submission):
-            return
-        seen_extensions: set[tuple[str, ...]] = set()
-        tried = 0
-        for arrangement in permutations(unbound_submission, len(unbound_pattern)):
-            # arrangements that never match yield nothing back to
-            # ``search``, so this loop needs its own deadline check
-            tried += 1
-            if tried & 511 == 0:
-                check_deadline()
-            if arrangement in seen_extensions:
-                continue
-            seen_extensions.add(arrangement)
-            extension = dict(zip(unbound_pattern, arrangement))
-            trial = {**gamma, **extension}
-            if u.expr.matches(v.content, _restrict(trial, u.expr.variables)):
-                yield extension, True
-            elif u.approx is not None and u.approx.matches(
-                v.content, _restrict(trial, u.approx.variables)
-            ):
-                yield extension, False
-
-
-def _restrict(gamma: dict[str, str], variables: frozenset[str]) -> dict[str, str]:
-    return {name: gamma[name] for name in variables if name in gamma}
+            for pairs, other, outgoing in checks:
+                mapped = iota[other]
+                if (
+                    (v_id, mapped) if outgoing else (mapped, v_id)
+                ) not in pairs:
+                    break
+            else:
+                v = graph_nodes[v_id]
+                free = v.variables - bound_submission
+                if len(free) < width:
+                    continue
+                content = v.content
+                for arrangement in permutations(sorted(free), width):
+                    # arrangements that never match never recurse, so
+                    # this loop needs its own deadline check
+                    tried += 1
+                    if tried & 511 == 0:
+                        check_deadline()
+                    for name, value in zip(new_variables, arrangement):
+                        gamma[name] = value
+                    if expr.matches(content, gamma):
+                        correct = True
+                    elif approx is not None and approx.matches(content, gamma):
+                        correct = False
+                    else:
+                        continue
+                    iota[u_id] = v_id
+                    marks[u_id] = correct
+                    self.search(depth + 1, iota, gamma, marks)
+                    del iota[u_id]
+                    del marks[u_id]
+        for name in new_variables:
+            gamma.pop(name, None)

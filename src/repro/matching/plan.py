@@ -19,31 +19,38 @@ object:
 * **variable sets** per node, so the matcher never unions
   ``expr``/``approx`` variables in the loop.
 
-Two quantities still depend on the graph and are computed per match
-call (they are :math:`O(|U|^2)` on patterns with at most a handful of
-nodes):
+Two quantities still depend on the graph (they are :math:`O(|U|^2)` on
+patterns with at most a handful of nodes).  The order is computed per
+match call; its steps are cached on the plan by order, since a handful
+of orders recur across all graphs:
 
 * the **static node order** — the connectivity-first heuristic only
   looks at *which* nodes are already matched, never at how they are
   mapped, so the order the dynamic heuristic would pick is identical in
   every branch of the search and can be fixed up front (see
   :meth:`SearchPlan.static_order`);
-* **arity floors** — once the order is fixed, the set of pattern
-  variables bound before node ``u`` is matched is exactly the union of
-  the variables of the nodes ordered before it.  Any candidate with
-  fewer variables than ``u`` must newly bind cannot satisfy the
-  injective binding step, so Φ drops it (see
-  :meth:`SearchPlan.arity_floors`).  This reproduces a check the search
-  would make anyway, which keeps the optimized matcher's output
+* the **search steps** of that order (see :meth:`SearchPlan.steps`) —
+  once the order is fixed, the pattern variables bound before node
+  ``u`` is matched are exactly those of the nodes ordered before it,
+  and so are the edges whose other end is already mapped.  Each step
+  therefore carries the variables ``u`` binds anew, sorted, and the
+  edges to check.  The number of new variables is also an **arity
+  floor**: any candidate with fewer variables cannot satisfy the
+  injective binding step, so Φ drops it.  This reproduces a check the
+  search would make anyway, which keeps the optimized matcher's output
   byte-identical to the naive one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.patterns.model import Pattern
 from repro.pdg.graph import EdgeType
+
+#: Distinct node orders whose steps one plan keeps; a full table is
+#: emptied and refilled.
+_STEP_TABLES_PER_PLAN = 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,8 @@ class NodePlan:
     node_id: int
     #: Edges touching this node: ``(edge_type, other_node_id, is_outgoing)``.
     adjacency: tuple[tuple[EdgeType, int, bool], ...]
+    #: Ids of the nodes those edges lead to.
+    neighbors: frozenset[int]
     #: Required minimum degree profile of any image:
     #: ``(out_ctrl, out_data, in_ctrl, in_data)``.
     degree_requirement: tuple[int, int, int, int]
@@ -61,10 +70,25 @@ class NodePlan:
 
 
 @dataclass(frozen=True)
+class SearchStep:
+    """What Algorithm 1 does at one depth of a fixed node order."""
+
+    node_id: int
+    #: Variables the node binds anew, sorted: the γ extension order.
+    new_variables: tuple[str, ...]
+    #: Edges to nodes matched at earlier depths:
+    #: ``(edge_type, other_node_id, is_outgoing)``.
+    checks: tuple[tuple[EdgeType, int, bool], ...]
+
+
+@dataclass(frozen=True)
 class SearchPlan:
     """Everything Algorithm 1 needs that depends only on the pattern."""
 
     node_plans: tuple[NodePlan, ...]
+    _steps: dict[tuple[int, ...], tuple[SearchStep, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def static_order(self, space_sizes: dict[int, int]) -> tuple[int, ...]:
         """The node order the connectivity-first heuristic would follow.
@@ -77,39 +101,56 @@ class SearchPlan:
         must be the *unpruned* (type-only) Φ sizes so the order is
         identical to the one the unoptimized matcher used.
         """
-        remaining = {plan.node_id for plan in self.node_plans}
+        # ``(size, id)`` tie-break keys, best first: each pick is the
+        # first remaining node adjacent to a chosen one, else the first
+        ranked = sorted(
+            (space_sizes[plan.node_id], plan.node_id) for plan in self.node_plans
+        )
         chosen: set[int] = set()
         order: list[int] = []
-        while remaining:
-            def key(node_id: int) -> tuple[int, int, int]:
-                adjacent = any(
-                    other in chosen
-                    for _, other, _ in self.node_plans[node_id].adjacency
-                )
-                return (0 if adjacent else 1, space_sizes[node_id], node_id)
-            best = min(remaining, key=key)
-            remaining.discard(best)
-            chosen.add(best)
-            order.append(best)
+        while ranked:
+            pick = 0
+            for index, (_, node_id) in enumerate(ranked):
+                if not self.node_plans[node_id].neighbors.isdisjoint(chosen):
+                    pick = index
+                    break
+            node_id = ranked.pop(pick)[1]
+            chosen.add(node_id)
+            order.append(node_id)
         return tuple(order)
 
-    def arity_floors(self, order: tuple[int, ...]) -> dict[int, int]:
-        """Minimum ``|v.variables|`` an image of each node must have.
+    def steps(self, order: tuple[int, ...]) -> tuple[SearchStep, ...]:
+        """The :class:`SearchStep` of every depth of ``order``.
 
         When node ``u`` is matched, every variable of every earlier node
         in ``order`` is already bound, so ``u`` must newly bind exactly
-        ``|vars(u) - vars(earlier)|`` variables — injectively, into the
-        candidate's own variables.  A candidate with fewer variables
-        fails the binding step in *every* branch, so dropping it from Φ
-        is exact, not heuristic.
+        ``vars(u) - vars(earlier)`` — injectively, into the candidate's
+        own variables — and only edges to earlier nodes can be checked.
         """
-        floors: dict[int, int] = {}
+        cached = self._steps.get(order)
+        if cached is not None:
+            return cached
+        steps: list[SearchStep] = []
         bound: set[str] = set()
+        earlier: set[int] = set()
         for node_id in order:
             plan = self.node_plans[node_id]
-            floors[node_id] = len(plan.variables - bound)
+            steps.append(
+                SearchStep(
+                    node_id=node_id,
+                    new_variables=tuple(sorted(plan.variables - bound)),
+                    checks=tuple(
+                        entry for entry in plan.adjacency if entry[1] in earlier
+                    ),
+                )
+            )
             bound |= plan.variables
-        return floors
+            earlier.add(node_id)
+        result = tuple(steps)
+        if len(self._steps) >= _STEP_TABLES_PER_PLAN:
+            self._steps.clear()
+        self._steps[order] = result
+        return result
 
 
 def compile_plan(pattern: Pattern) -> SearchPlan:
@@ -139,6 +180,7 @@ def compile_plan(pattern: Pattern) -> SearchPlan:
             NodePlan(
                 node_id=node.node_id,
                 adjacency=tuple(adjacency[node.node_id]),
+                neighbors=frozenset(other for _, other, _ in adjacency[node.node_id]),
                 degree_requirement=tuple(requirements[node.node_id]),
                 variables=node.variables,
             )

@@ -9,7 +9,10 @@ and edge stores so the matcher's hot queries never scan the whole graph:
   (:meth:`Epdg.find_by_content` used to scan every node);
 * **degree profiles** counting in/out edges per :class:`EdgeType` for
   every node, which the compiled search plans use to prune candidates
-  that cannot possibly carry a pattern node's edges.
+  that cannot possibly carry a pattern node's edges;
+* an **edge-pair set** per :class:`EdgeType` holding ``(source, target)``
+  int pairs, so :meth:`Epdg.has_edge` — Algorithm 1's structural check —
+  is one set probe with no edge object built or hashed.
 
 ``nodes``/``edges`` return *cached immutable views* — the backtracking
 matcher reads them inside its inner loop, and the previous
@@ -117,9 +120,12 @@ class Epdg:
         self._by_type: dict[NodeType, list[GraphNode]] = {}
         self._by_content: dict[str, list[GraphNode]] = {}
         self._degrees: list[list[int]] = []  # [out_ctrl, out_data, in_ctrl, in_data]
+        self._ctrl_pairs: set[tuple[int, int]] = set()
+        self._data_pairs: set[tuple[int, int]] = set()
         # cached immutable views, invalidated by mutation
         self._nodes_view: tuple[GraphNode, ...] | None = None
         self._edges_view: frozenset[GraphEdge] | None = None
+        self._profiles_view: tuple[tuple[int, int, int, int], ...] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -137,6 +143,7 @@ class Epdg:
         self._by_content.setdefault(node.content, []).append(node)
         self._degrees.append([0, 0, 0, 0])
         self._nodes_view = None
+        self._profiles_view = None
         return node
 
     def add_edge(self, source: int, target: int, edge_type: EdgeType) -> None:
@@ -146,6 +153,7 @@ class Epdg:
         if source >= len(self._nodes) or target >= len(self._nodes):
             raise ValueError(f"edge endpoints out of range: {edge}")
         self._edges.add(edge)
+        self.edge_pairs(edge_type).add((source, target))
         self._out[source].add(edge)
         self._in[target].add(edge)
         out_slot = _OUT_CTRL if edge_type is EdgeType.CTRL else _OUT_DATA
@@ -153,6 +161,7 @@ class Epdg:
         self._degrees[source][out_slot] += 1
         self._degrees[target][in_slot] += 1
         self._edges_view = None
+        self._profiles_view = None
 
     # ------------------------------------------------------------------
     # queries
@@ -178,7 +187,15 @@ class Epdg:
         return len(self._nodes)
 
     def has_edge(self, source: int, target: int, edge_type: EdgeType) -> bool:
-        return GraphEdge(source, target, edge_type) in self._edges
+        return (source, target) in self.edge_pairs(edge_type)
+
+    def edge_pairs(self, edge_type: EdgeType) -> set[tuple[int, int]]:
+        """The live ``(source, target)`` set of one edge type.
+
+        Callers must treat it as read-only; the matcher resolves both
+        sets once per search instead of once per candidate.
+        """
+        return self._ctrl_pairs if edge_type is EdgeType.CTRL else self._data_pairs
 
     def out_edges(self, node_id: int) -> set[GraphEdge]:
         return set(self._out.get(node_id, ()))
@@ -216,7 +233,14 @@ class Epdg:
         direction/type than the pattern node demands can never complete
         an (injective) embedding, so Φ drops it up front.
         """
-        return tuple(self._degrees[node_id])
+        return self.degree_profiles[node_id]
+
+    @property
+    def degree_profiles(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Every node's :meth:`degree_profile`, by id, as a cached view."""
+        if self._profiles_view is None:
+            self._profiles_view = tuple(map(tuple, self._degrees))
+        return self._profiles_view
 
     def out_degree(self, node_id: int, edge_type: EdgeType | None = None) -> int:
         profile = self._degrees[node_id]

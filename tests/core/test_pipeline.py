@@ -14,6 +14,16 @@ from repro.synth import sample_submissions
 
 BROKEN = "void assignment1(int[] a) { int = ; }"
 
+#: Nesting past the parser's budget (each once raised RecursionError).
+HOSTILE = {
+    "parens": "int assignment1(int[] a) { return "
+    + "(" * 200 + "1" + ")" * 200 + "; }",
+    "plus-chain": "int assignment1(int[] a) { return "
+    + " + ".join(["1"] * 1000) + "; }",
+    "nested-ifs": "void assignment1(int[] a) { "
+    + "if (a.length > 0) { " * 1000 + "}" * 1000 + " }",
+}
+
 
 @pytest.fixture(scope="module")
 def cohort(assignment1):
@@ -24,6 +34,15 @@ def cohort(assignment1):
     ]
     duplicated = originals + originals[:8]
     return [(f"s{i}", source) for i, source in enumerate(duplicated)]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_nesting_is_reported_as_parse_error(assignment1, name):
+    report = BatchGrader(assignment1, cache=False).grade_batch(
+        [HOSTILE[name]]
+    ).items[0].report
+    assert report.status == "parse-error"
+    assert "nested too deeply" in report.parse_error
 
 
 class TestSourceKey:

@@ -26,7 +26,7 @@ import pytest
 from repro.core.pipeline import BatchGrader, source_key
 from repro.core.storage import ResultStore, resolve_backend
 from repro.core.storage.migrate import migrate_to_sqlite
-from repro.core.storage.sqlite_backend import database_path
+from repro.core.storage.sqlite_backend import SqliteBackend, database_path
 from repro.kb import get_assignment
 
 
@@ -151,6 +151,60 @@ class TestSqliteRoundTrip:
             t.join()
         assert failures == []
         assert store.entry_count() == 16
+
+    def test_concurrent_first_opens_all_write(self, tmp_path):
+        # 16 threads open their first connection to a fresh database at
+        # the same instant: each races the WAL switch and table creation
+        backend = SqliteBackend(tmp_path, ("assignment1", "kb"))
+        barrier = threading.Barrier(16)
+        results: list[bool] = []
+
+        def write(i: int) -> None:
+            barrier.wait()
+            results.append(backend.write("entry", f"key{i}", {"i": i}))
+
+        threads = [
+            threading.Thread(target=write, args=(i,)) for i in range(16)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 16
+        assert backend.count("entry") == 16
+
+    def test_busy_wal_switch_is_retried(self, tmp_path, monkeypatch):
+        # SQLite can refuse the WAL switch with an immediate SQLITE_BUSY
+        # (no busy handler); the first open must retry, not fail the write
+        refusals = []
+        connect = sqlite3.connect
+
+        class RefusingConnection:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                if sql == "PRAGMA journal_mode=WAL" and len(refusals) < 3:
+                    refusals.append(sql)
+                    raise sqlite3.OperationalError("database is locked")
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(
+            sqlite3, "connect",
+            lambda *args, **kwargs: RefusingConnection(connect(*args, **kwargs)),
+        )
+        backend = SqliteBackend(tmp_path, ("assignment1", "kb"))
+        assert backend.write("entry", "key", {"ok": 1}) is True
+        assert len(refusals) == 3
+        assert backend.read("entry", "key") == {"ok": 1}
+        mode = connect(database_path(tmp_path)).execute(
+            "PRAGMA journal_mode"
+        ).fetchone()[0]
+        assert mode == "wal"
 
 
 class TestCrossBackendIdentity:

@@ -4,6 +4,17 @@ import pytest
 
 from repro.errors import JavaSyntaxError
 from repro.java import ast, parse_expression, parse_submission
+from repro.java.parser import MAX_NESTING
+
+
+def _height(node: ast.Node) -> int:
+    """Tree height, computed without recursion."""
+    best, stack = 0, [(node, 1)]
+    while stack:
+        current, depth = stack.pop()
+        best = max(best, depth)
+        stack.extend((child, depth + 1) for child in current.children())
+    return best
 
 
 class TestExpressions:
@@ -320,6 +331,45 @@ class TestDeclarations:
         with pytest.raises(JavaSyntaxError) as excinfo:
             parse_submission("void f() { int x = ; }")
         assert excinfo.value.line >= 1
+
+
+class TestNestingBudget:
+    # the hostile inputs themselves are graded in tests/core/test_pipeline.py
+
+    def test_ordinary_depths_parse(self):
+        chain = "int f(int x) { return " + " + ".join(["x"] * 40) + "; }"
+        ifs = "void f(int x) { " + "if (x > 0) { " * 25 + "}" * 25 + " }"
+        parens = "int f() { return " + "(" * 30 + "1" + ")" * 30 + "; }"
+        for source in (chain, ifs, parens):
+            parse_submission(source)
+
+    def test_budget_is_spent_per_statement(self):
+        # chains in sibling statements and class fields never add up
+        statements = "int x = 0; " + "x = x + 1 + 2 + 3 + 4 + 5; " * 100
+        parse_submission("int f() { " + statements + "return x; }")
+        fields = "int y = 1 + 2 + 3 + 4 + 5; " * 100
+        parse_submission("class C { " + fields + "}")
+
+    def test_admitted_trees_stay_below_twice_the_budget(self):
+        # the tallest shapes the budget admits: prefix operators around a
+        # chain, then a chain over that, and leftward postfix selectors
+        shapes = [
+            lambda n: "!" * n + "(x + x > 0)" + " && b" * n,
+            lambda n: "(" + " + ".join(["x"] * n) + ") > 0" + " && b" * n,
+            lambda n: "a" + "[0]" * n + " > 0",
+        ]
+        for shape in shapes:
+            tallest = 0
+            for n in range(1, 4 * MAX_NESTING):
+                source = f"boolean f(int x, boolean b) {{ return {shape(n)}; }}"
+                try:
+                    unit = parse_submission(source)
+                except JavaSyntaxError:
+                    break
+                tallest = max(tallest, _height(unit))
+            else:
+                pytest.fail("the budget never stopped the shape")
+            assert 0 < tallest < 2 * MAX_NESTING + 8
 
 
 class TestAstHelpers:

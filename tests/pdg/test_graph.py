@@ -1,8 +1,10 @@
 """Unit tests for the EPDG data structure."""
 
+import random
+
 import pytest
 
-from repro.pdg.graph import EdgeType, Epdg, GraphNode, NodeType
+from repro.pdg.graph import EdgeType, Epdg, GraphEdge, GraphNode, NodeType
 
 
 def make_graph():
@@ -81,3 +83,35 @@ class TestEpdg:
         graph = make_graph()
         edge = next(iter(graph.edges))
         assert "->" in str(edge)  # Data edges are solid arrows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_edge_indexes_agree_with_edges_on_random_graphs(seed):
+    """``has_edge`` and the degree profiles read the same edges as ``edges``."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 14)
+    graph = Epdg("random")
+    for node_id in range(size):
+        graph.add_node(GraphNode(node_id, rng.choice(list(NodeType)), f"n{node_id}"))
+    for _ in range(rng.randint(0, 3 * size)):
+        # repeats are frequent on small graphs, exercising idempotence
+        graph.add_edge(
+            rng.randrange(size), rng.randrange(size), rng.choice(list(EdgeType))
+        )
+        assert graph.degree_profiles[-1] == graph.degree_profile(size - 1)
+    edges = graph.edges
+    for source in range(size):
+        for target in range(size):
+            for edge_type in EdgeType:
+                assert graph.has_edge(source, target, edge_type) == (
+                    GraphEdge(source, target, edge_type) in edges
+                )
+    for node_id in range(size):
+        expected = (
+            sum(1 for e in edges if e.source == node_id and e.type is EdgeType.CTRL),
+            sum(1 for e in edges if e.source == node_id and e.type is EdgeType.DATA),
+            sum(1 for e in edges if e.target == node_id and e.type is EdgeType.CTRL),
+            sum(1 for e in edges if e.target == node_id and e.type is EdgeType.DATA),
+        )
+        assert graph.degree_profile(node_id) == expected
+        assert graph.degree_profiles[node_id] == expected

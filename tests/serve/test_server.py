@@ -184,6 +184,22 @@ class TestGrading:
         assert status == 200
         assert payload["report"]["status"] == "parse-error"
 
+    def test_hostile_nesting_is_a_parse_error_not_a_500(self):
+        source = (
+            "int assignment1(int[] a) { return "
+            + " + ".join(["1"] * 1000) + "; }"
+        )
+
+        async def go():
+            async with running_service() as service:
+                return await grade_call(
+                    service, "assignment1", {"source": source}
+                )
+
+        status, payload = run(go())
+        assert status == 200
+        assert payload["report"]["status"] == "parse-error"
+
     def test_unknown_assignment_is_404(self, good_source):
         async def go():
             async with running_service() as service:
